@@ -8,7 +8,7 @@
 // congestion control's one-connection-worth of aggression, §4.1); TCP/ECMP
 // connections hold a single path of weight 1. An event-driven loop
 // advances flow arrivals and completions to produce flow completion times
-// (Figure 8) and throughput time series (Figure 10).
+// (Figure 8).
 package flowsim
 
 import (
@@ -35,8 +35,8 @@ type Subflow struct {
 // perspective; zero-weight subflows are rejected.
 //
 // The computation runs on the struct-of-arrays core (soa.go), admitting
-// each subflow as its own single-path connection; the retained seed
-// allocator (maxMinRatesRef) pins its output bit-for-bit.
+// each subflow as its own single-path connection; the seed allocator,
+// kept in the tests as maxMinRatesRef, pins its output bit-for-bit.
 func MaxMinRates(caps []float64, subs []Subflow) ([]float64, error) {
 	rates := make([]float64, len(subs))
 	if len(subs) == 0 {

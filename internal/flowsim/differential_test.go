@@ -9,13 +9,13 @@ import (
 	"flattree/internal/recorder"
 )
 
-// The differential suite pins the struct-of-arrays core (sim.go, soa.go)
-// to the retained seed implementation (reference.go): same seeded
-// workload in, byte-identical ConnResult slices out — rates (via finish
-// times), FCTs, stall times, reroute counts. Scenarios cover the static
-// case, churn traces with disconnect/repair events, the parallel-link
-// topology of the convertible fabrics, and the sharded allocator at both
-// 1 and 8 workers.
+// The differential suite pins the event loop and struct-of-arrays core
+// (sim.go, stream.go, soa.go) to the seed implementation kept in
+// reference_test.go: same seeded workload in, byte-identical ConnResult
+// slices out — rates (via finish times), FCTs, stall times, reroute
+// counts. Scenarios cover the static case, churn traces with
+// disconnect/repair events, the parallel-link topology of the convertible
+// fabrics, and the sharded allocator at both 1 and 8 workers.
 
 // diffScenario is one seeded workload both cores run.
 type diffScenario struct {

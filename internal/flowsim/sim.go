@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"flattree/internal/recorder"
-	"flattree/internal/telemetry"
 )
 
 // ConnSpec describes one connection entering the simulation.
@@ -66,12 +65,13 @@ type TopoEvent struct {
 
 // Sim is an event-driven flow-level simulation over a fixed topology.
 //
-// The event loop and allocator run on a struct-of-arrays core (soa.go):
-// dense per-connection and per-subflow arrays, a flat link arena, and
-// per-link membership maintained incrementally across events. The seed
-// implementation is retained in reference.go and the differential suite
-// pins the two cores to byte-identical results, so Run's output is the
-// seed's output — only faster.
+// Run and RunStream share one event loop (stream.go) over a
+// struct-of-arrays allocator core (soa.go): dense per-connection and
+// per-subflow arrays, a flat link arena, and per-link membership
+// maintained incrementally across events. The seed implementation lives
+// on only in the tests (reference_test.go), where the differential suite
+// pins the loop to byte-identical results, so Run's output is the seed's
+// output — only faster.
 type Sim struct {
 	caps  []float64
 	specs []ConnSpec
@@ -82,9 +82,6 @@ type Sim struct {
 	// Horizon stops the simulation at this time even if flows remain;
 	// zero means run to completion of all finite flows.
 	Horizon float64
-	// Sample, when set, is called at every event boundary with the
-	// current time and per-connection rates (valid until the next call).
-	Sample func(t float64, connRates []float64)
 
 	// Graceful switches starved finite connections from erroring the run
 	// to stalling: a connection whose every subflow sits at zero rate is
@@ -141,7 +138,9 @@ func (s *Sim) retryBounds() (base, max float64) {
 
 // validateSpec rejects the spec values the seed core silently accepted
 // and then looped or NaN-poisoned on: NaN sizes and weights, negative
-// weights, non-finite arrivals.
+// weights, non-finite arrivals. Negative arrivals are rejected too: the
+// loop starts at t=0, so such a connection would be admitted at 0 while
+// reporting its earlier Start, inflating its FCT.
 func validateSpec(i int, sp ConnSpec, graceful bool) error {
 	if len(sp.Paths) == 0 && !graceful {
 		return fmt.Errorf("flowsim: connection %d has no paths", i)
@@ -152,350 +151,59 @@ func validateSpec(i int, sp ConnSpec, graceful bool) error {
 	if math.IsNaN(sp.Weight) || sp.Weight < 0 {
 		return fmt.Errorf("flowsim: connection %d has weight %v", i, sp.Weight)
 	}
-	if math.IsNaN(sp.Arrival) || math.IsInf(sp.Arrival, 0) {
+	if math.IsNaN(sp.Arrival) || math.IsInf(sp.Arrival, 0) || sp.Arrival < 0 {
 		return fmt.Errorf("flowsim: connection %d has arrival %v", i, sp.Arrival)
 	}
 	return nil
 }
 
-// mergeIDs merges sorted batch into sorted ids using scratch as the
-// destination, returning the merged slice and the now-free old backing
-// array. IDs are unique across the two inputs.
-func mergeIDs(ids, batch, scratch []int32) (merged, free []int32) {
-	out := scratch[:0]
-	i, j := 0, 0
-	for i < len(ids) && j < len(batch) {
-		if ids[i] < batch[j] {
-			out = append(out, ids[i])
-			i++
-		} else {
-			out = append(out, batch[j])
-			j++
-		}
-	}
-	out = append(out, ids[i:]...)
-	out = append(out, batch[j:]...)
-	return out, ids[:0]
-}
-
 // Run executes the simulation and returns per-connection results in spec
-// order.
+// order. It is an adapter over the event loop RunStream also uses: specs
+// are fed in stable arrival order with their index as id, and Reroute
+// events address connections by that index.
 func (s *Sim) Run() ([]ConnResult, error) {
-	n := len(s.specs)
-	results := make([]ConnResult, n)
 	if err := validateCaps(s.caps); err != nil {
 		return nil, err
 	}
-	remaining := make([]float64, n)
-	paths := make([][][]int, n)
+	n := len(s.specs)
+	results := make([]ConnResult, n)
 	order := make([]int, n)
 	for i, sp := range s.specs {
 		if err := validateSpec(i, sp, s.Graceful); err != nil {
 			return nil, err
 		}
 		results[i] = ConnResult{Start: sp.Arrival, Finish: math.Inf(1), Bits: sp.Bits}
-		remaining[i] = sp.Bits
-		paths[i] = sp.Paths
 		order[i] = i
+	}
+	if n == 0 {
+		return results, nil // nothing arrives, so no event applies
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		return s.specs[order[a]].Arrival < s.specs[order[b]].Arrival
 	})
-
-	// Capacities are private: topology events mutate them mid-run. The
-	// allocator core aliases this slice, so SetCaps writes land without
-	// a rebuild.
-	caps := append([]float64(nil), s.caps...)
-	retryBase, retryMax := s.retryBounds()
-	st := newAllocState(caps, n)
-
-	// Dense active set: sorted connection IDs plus a membership flag.
-	// Arrivals merge in sorted batches, retirements compact in place —
-	// no per-event re-sort, no map iteration anywhere.
-	activeIDs := make([]int32, 0, 64)
-	idScratch := make([]int32, 0, 64)
-	admitBatch := make([]int32, 0, 16)
-	isActive := make([]bool, n)
-	run := make([]int32, 0, 64)
-	runRates := make([]float64, 0, 64)
-	var connRates []float64 // full per-connection vector, Sample only
-	if s.Sample != nil {
-		connRates = make([]float64, n)
+	rr := newReroutes(s.specs, s.events)
+	k := 0
+	next := func() (int, ConnSpec, bool, error) {
+		if k == n {
+			return 0, ConnSpec{}, false, nil
+		}
+		c := order[k]
+		k++
+		return c, s.specs[c], true, nil
 	}
-	stalled := make([]bool, n)  // parked: excluded from allocation
-	retrying := make([]bool, n) // woken for a backoff probe this instant
-	backoff := make([]float64, n)
-	nextRetry := make([]float64, n)
-	nextArrival := 0
-	nextEvent := 0
-	t := 0.0
-	if n == 0 {
-		return results, nil
+	if err := s.loop(next, func(id int, res ConnResult) { results[id] = res }, rr, n); err != nil {
+		return nil, err
 	}
-	// Handles are resolved once per run; nil (disabled) handles cost one
-	// predictable branch per use.
-	events := telemetry.C("flowsim_events_total")
-	completed := telemetry.C("flowsim_flows_completed_total")
-	fct := telemetry.H("flowsim_fct_seconds")
-	stalls := telemetry.C("flowsim_stalls_total")
-	reroutes := telemetry.C("flowsim_reroutes_total")
-	disconnected := telemetry.C("flowsim_disconnected_total")
-	stallHist := telemetry.H("flowsim_stall_seconds")
-
-	// finish records stall histograms once and returns the results.
-	finish := func() []ConnResult {
-		for i := range results {
-			if results[i].StallTime > 0 {
-				stallHist.Observe(results[i].StallTime)
+	if rr != nil {
+		// Connections the horizon cut off before they arrived never reach
+		// the sink, but keep the reroutes applied while they waited.
+		for c, slot := range rr.slot {
+			if slot == notArrived {
+				results[c].Reroutes = rr.count[c]
 			}
-		}
-		return results
-	}
-	// stall parks connection c at time now: a fresh stall starts the
-	// backoff at its base; a failed retry probe doubles it up to the cap.
-	stall := func(c int32, now float64) {
-		if stalled[c] {
-			return
-		}
-		stalled[c] = true
-		if retrying[c] {
-			backoff[c] *= 2
-			if backoff[c] > retryMax {
-				backoff[c] = retryMax
-			}
-		} else {
-			backoff[c] = retryBase
-			stalls.Inc()
-			s.Rec.Emit(recorder.Event{T: now, Kind: recorder.FlowStall, ID: int(c)})
-		}
-		retrying[c] = false
-		nextRetry[c] = now + backoff[c]
-	}
-
-	for {
-		events.Inc()
-		// Apply topology events due at the current time, in schedule order.
-		for nextEvent < len(s.events) && s.events[nextEvent].Time <= t+1e-12 {
-			ev := s.events[nextEvent]
-			nextEvent++
-			//flatvet:ordered writes to distinct link slots; order-independent
-			for id, cp := range ev.SetCaps {
-				if id < 0 || id >= len(caps) {
-					return nil, fmt.Errorf("flowsim: event at t=%v sets capacity of link %d of %d", ev.Time, id, len(caps))
-				}
-				if math.IsNaN(cp) || cp < 0 {
-					return nil, fmt.Errorf("flowsim: event at t=%v sets link %d capacity %v (want >= 0)", ev.Time, id, cp)
-				}
-				caps[id] = cp
-			}
-			// Reroutes apply in ascending connection order (bookkeeping
-			// only — path replacement is order-independent, counters are
-			// not).
-			recs := make([]int, 0, len(ev.Reroute))
-			for c := range ev.Reroute {
-				recs = append(recs, c)
-			}
-			sort.Ints(recs)
-			for _, c := range recs {
-				if c < 0 || c >= n {
-					return nil, fmt.Errorf("flowsim: event at t=%v reroutes connection %d of %d", ev.Time, c, n)
-				}
-				if !math.IsInf(results[c].Finish, 1) {
-					continue // already completed
-				}
-				paths[c] = ev.Reroute[c]
-				if isActive[c] {
-					if err := st.setPaths(c, c, s.specs[c].Weight, paths[c]); err != nil {
-						return nil, err
-					}
-				}
-				results[c].Reroutes++
-				reroutes.Inc()
-				s.Rec.Emit(recorder.Event{T: ev.Time, Kind: recorder.FlowReroute, ID: c, A: int64(len(paths[c]))})
-			}
-		}
-		// Admit arrivals at the current time.
-		admitBatch = admitBatch[:0]
-		for nextArrival < n && s.specs[order[nextArrival]].Arrival <= t+1e-12 {
-			c := order[nextArrival]
-			if err := st.admit(c, c, s.specs[c].Weight, paths[c]); err != nil {
-				return nil, err
-			}
-			isActive[c] = true
-			admitBatch = append(admitBatch, int32(c))
-			nextArrival++
-			s.Rec.Emit(recorder.Event{T: s.specs[c].Arrival, Kind: recorder.FlowStart, ID: c, A: int64(len(paths[c]))})
-		}
-		if len(admitBatch) > 0 {
-			// order is stable by arrival, not by ID: same-instant batches
-			// can arrive out of ID order.
-			sort.Slice(admitBatch, func(a, b int) bool { return admitBatch[a] < admitBatch[b] })
-			activeIDs, idScratch = mergeIDs(activeIDs, admitBatch, idScratch)
-		}
-		// Wake stalled connections whose retry timer fired; the allocation
-		// below decides whether the probe succeeds.
-		for _, c := range activeIDs {
-			if stalled[c] && nextRetry[c] <= t+1e-12 {
-				stalled[c] = false
-				retrying[c] = true
-			}
-		}
-		if len(activeIDs) == 0 {
-			if nextArrival >= n {
-				break
-			}
-			// Jump to whichever comes first: the next arrival or the next
-			// topology event (events still apply with no flows running,
-			// keeping capacities and path sets current for later
-			// arrivals).
-			jump := s.specs[order[nextArrival]].Arrival
-			if nextEvent < len(s.events) && s.events[nextEvent].Time < jump {
-				jump = s.events[nextEvent].Time
-			}
-			t = jump
-			continue
-		}
-		// Allocate rates for the running (non-stalled) set.
-		run = run[:0]
-		for _, c := range activeIDs {
-			if !stalled[c] {
-				run = append(run, c)
-			}
-		}
-		st.allocate(run)
-		runRates = runRates[:0]
-		for _, c := range run {
-			runRates = append(runRates, st.rate(int(c), s.LocalRate))
-		}
-		s.Rec.Emit(recorder.Event{T: t, Kind: recorder.AllocRound, A: int64(len(run)), B: int64(len(activeIDs))})
-		// Graceful degradation: finite connections at zero rate lost every
-		// path. While future events could revive them they park and retry;
-		// once no event or arrival remains, nothing can — park them for
-		// good (infinite retry timer), so they accrue stall time for the
-		// rest of the simulated span instead of burning retry probes.
-		if s.Graceful {
-			noFuture := nextArrival >= n && nextEvent >= len(s.events)
-			starved := false
-			for ri, c := range run {
-				if math.IsInf(remaining[c], 1) {
-					continue
-				}
-				if runRates[ri] <= 1e-15 {
-					if noFuture {
-						stalled[c] = true
-						retrying[c] = false
-						nextRetry[c] = math.Inf(1)
-						disconnected.Inc()
-						s.Rec.Emit(recorder.Event{T: t, Kind: recorder.FlowDisconnect, ID: int(c)})
-					} else {
-						stall(c, t)
-					}
-					starved = true
-					continue
-				}
-				retrying[c] = false // probe succeeded: connection resumed
-			}
-			if starved {
-				continue // reallocate without the just-parked connections
-			}
-		}
-		if s.Sample != nil {
-			for i := range connRates {
-				connRates[i] = 0
-			}
-			for ri, c := range run {
-				connRates[c] = runRates[ri]
-			}
-			s.Sample(t, connRates)
-		}
-		// Next event: earliest completion, arrival, topology event, or
-		// stall-retry probe.
-		nextT := math.Inf(1)
-		if nextArrival < n {
-			nextT = s.specs[order[nextArrival]].Arrival
-		}
-		if nextEvent < len(s.events) && s.events[nextEvent].Time < nextT {
-			nextT = s.events[nextEvent].Time
-		}
-		for _, c := range activeIDs {
-			if stalled[c] && nextRetry[c] < nextT {
-				nextT = nextRetry[c]
-			}
-		}
-		completing := int32(-1)
-		for ri, c := range run {
-			r := runRates[ri]
-			if math.IsInf(remaining[c], 1) || r <= 1e-15 {
-				continue
-			}
-			if fin := t + remaining[c]/r; fin < nextT {
-				nextT = fin
-				completing = c
-			}
-		}
-		if s.Horizon > 0 && nextT > s.Horizon {
-			// Stop at the horizon; account progress (and stall) up to it.
-			dt := s.Horizon - t
-			for ri, c := range run {
-				remaining[c] -= runRates[ri] * dt
-			}
-			for _, c := range activeIDs {
-				if stalled[c] {
-					results[c].StallTime += dt
-				}
-			}
-			return finish(), nil
-		}
-		if math.IsInf(nextT, 1) {
-			// Only persistent or starved flows remain. Stalled
-			// connections sit at rate zero by construction, so the
-			// starvation check only concerns the running set.
-			for ri, c := range run {
-				if runRates[ri] <= 1e-15 && !math.IsInf(remaining[c], 1) {
-					return nil, fmt.Errorf("flowsim: connection %d starved (disconnected path set?)", c)
-				}
-			}
-			return finish(), nil
-		}
-		dt := nextT - t
-		for ri, c := range run {
-			remaining[c] -= runRates[ri] * dt
-		}
-		for _, c := range activeIDs {
-			if stalled[c] {
-				results[c].StallTime += dt
-			}
-		}
-		t = nextT
-		// Retire completed connections (the chosen one plus any that hit
-		// zero within tolerance).
-		anyRetired := false
-		for _, c := range run {
-			if !isActive[c] {
-				continue
-			}
-			if !math.IsInf(remaining[c], 1) && (c == completing || remaining[c] <= 1e-6) {
-				results[c].Finish = t
-				isActive[c] = false
-				st.retire(int(c), int(c))
-				anyRetired = true
-				completed.Inc()
-				fct.Observe(results[c].FCT())
-				s.Rec.Emit(recorder.Event{T: t, Kind: recorder.FlowRetire, ID: int(c),
-					V: results[c].FCT(), A: int64(results[c].Reroutes)})
-			}
-		}
-		if anyRetired {
-			kept := activeIDs[:0]
-			for _, c := range activeIDs {
-				if isActive[c] {
-					kept = append(kept, c)
-				}
-			}
-			activeIDs = kept
 		}
 	}
-	return finish(), nil
+	return results, nil
 }
 
 // StaticRates computes the steady-state connection rates if every

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the struct-of-arrays allocator core. The seed allocator
-// (reference.go) rebuilt the subflow table and every per-link index on
+// (reference_test.go) rebuilt the subflow table and every per-link index on
 // each call and re-scanned all of caps per progressive-filling round; at
 // 10M flows those rebuilds dominate. The SoA core keeps connections in
 // dense parallel arrays indexed by slot, subflow link lists in one flat

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// RunStream must be Run with the spec slice factored out: on any workload
-// both can express (arrival-sorted specs, capacity-only events) the two
-// produce byte-identical ConnResults. These tests pin that, plus the
-// stream-only machinery — slot recycling, arena compaction, the
-// nondecreasing-arrival contract, and the unsupported-feature errors.
+// RunStream must match the seed reference core on any workload it can
+// express (arrival-sorted specs, capacity-only events): byte-identical
+// ConnResults. These tests pin that, plus the stream-only machinery —
+// slot recycling, arena compaction, the nondecreasing-arrival contract,
+// and the unsupported-feature error.
 
 // streamScenario builds a seeded capacity-churn workload with specs
 // pre-sorted by arrival, the one ordering constraint RunStream adds.
@@ -108,7 +108,7 @@ func runStreamed(t *testing.T, seed int64, sc diffScenario) ([]ConnResult, error
 func TestRunStreamDifferentialStatic(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		sc := streamScenario(seed, false)
-		want, wantErr := sc.sim().Run()
+		want, wantErr := sc.sim().runReference()
 		got, gotErr := runStreamed(t, seed, sc)
 		requireIdentical(t, seed, got, want, gotErr, wantErr)
 	}
@@ -117,7 +117,7 @@ func TestRunStreamDifferentialStatic(t *testing.T) {
 func TestRunStreamDifferentialCapacityChurn(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		sc := streamScenario(seed, true)
-		want, wantErr := sc.sim().Run()
+		want, wantErr := sc.sim().runReference()
 		got, gotErr := runStreamed(t, seed, sc)
 		requireIdentical(t, seed, got, want, gotErr, wantErr)
 	}
@@ -125,7 +125,8 @@ func TestRunStreamDifferentialCapacityChurn(t *testing.T) {
 
 // TestRunStreamSlotRecycling runs 20k short-lived flows through a tiny
 // fabric so slots recycle thousands of times (the offered load keeps a
-// handful of flows concurrent); results must still match Run exactly.
+// handful of flows concurrent); results must still match the reference
+// core exactly.
 func TestRunStreamSlotRecycling(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nLinks := 16
@@ -143,7 +144,7 @@ func TestRunStreamSlotRecycling(t *testing.T) {
 		}
 	}
 	sc := diffScenario{caps: caps, specs: specs}
-	want, wantErr := sc.sim().Run()
+	want, wantErr := sc.sim().runReference()
 	got, gotErr := runStreamed(t, 99, sc)
 	requireIdentical(t, 99, got, want, gotErr, wantErr)
 }
@@ -203,14 +204,8 @@ func TestCompactPreservesAllocation(t *testing.T) {
 
 func TestRunStreamRejectsUnsupported(t *testing.T) {
 	s := NewSim([]float64{10}, nil)
-	s.Sample = func(float64, []float64) {}
-	err := s.RunStream(func() (ConnSpec, bool) { return ConnSpec{}, false }, func(int, ConnResult) {})
-	if err == nil {
-		t.Fatal("Sample accepted")
-	}
-	s = NewSim([]float64{10}, nil)
 	s.Schedule([]TopoEvent{{Time: 1, Reroute: map[int][][]int{0: {{0}}}}})
-	err = s.RunStream(func() (ConnSpec, bool) { return ConnSpec{}, false }, func(int, ConnResult) {})
+	err := s.RunStream(func() (ConnSpec, bool) { return ConnSpec{}, false }, func(int, ConnResult) {})
 	if err == nil {
 		t.Fatal("Reroute event accepted")
 	}

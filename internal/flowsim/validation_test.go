@@ -73,6 +73,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		{"negative weight", ConnSpec{Paths: [][]int{{0}}, Bits: 1, Weight: -1}, "has weight"},
 		{"nan arrival", ConnSpec{Paths: [][]int{{0}}, Bits: 1, Arrival: math.NaN()}, "has arrival"},
 		{"inf arrival", ConnSpec{Paths: [][]int{{0}}, Bits: 1, Arrival: math.Inf(1)}, "has arrival"},
+		{"negative arrival", ConnSpec{Paths: [][]int{{0}}, Bits: 10, Arrival: -1}, "has arrival"},
 	}
 	for _, tc := range cases {
 		_, err := NewSim([]float64{10}, []ConnSpec{tc.spec}).Run()
